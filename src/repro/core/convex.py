@@ -16,6 +16,14 @@ by the PGM-index: two convex hulls (of the lower and upper range endpoints)
 plus the current extreme-slope supporting pairs, stored as the four corners of
 the feasible "rectangle".
 
+Algorithm 1 fits one fragment per ``(f, ε)`` pair and position it opens, so
+the per-point cost is what matters.  :meth:`RangeLineFitter.extend` runs a
+whole fragment in one interpreter loop: the corners live in eight local
+floats and the hulls in parallel x/y lists, the slope and cross-product
+tests are written out inline, and the state is stored back once at the end.
+:meth:`RangeLineFitter.add` is ``extend`` over a single range, so there is
+one hull-update implementation.
+
 All arithmetic is float64.  The caller (``repro.core.models``) is responsible
 for providing transformed coordinates; the encoder re-validates residuals, so
 a borderline accept/reject here affects only optimality by a hair, never
@@ -26,15 +34,8 @@ from __future__ import annotations
 
 __all__ = ["RangeLineFitter"]
 
-
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    """Z component of (A - O) x (B - O)."""
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _slope_lt(ax: float, ay: float, bx: float, by: float) -> bool:
-    """Compare slopes of two vectors with positive dx: a.dy/a.dx < b.dy/b.dx."""
-    return ay * bx < by * ax
+_NO_RECT = (0.0,) * 8
+_NEG_INF = float("-inf")
 
 
 class RangeLineFitter:
@@ -43,18 +44,20 @@ class RangeLineFitter:
     Usage::
 
         fitter = RangeLineFitter()
-        while fitter.add(t, lo, hi):
-            ...                       # range accepted, extend the fragment
-        m, q = fitter.line()          # a feasible line for the accepted ranges
+        end = fitter.extend(t, lo, hi, start, len(t))   # one run
+        m, q = fitter.line()      # a feasible line for ranges start..end-1
 
-    ``add`` returns ``False`` (and leaves the state untouched) when no line
-    can stab the new range together with all previously accepted ones; the
+    ``extend`` accepts ranges until the first one no line can stab together
+    with all previously accepted ones and returns that range's index; the
     caller then closes the current fragment and starts a new fitter.
+    ``add`` is the single-range form of the same loop.
     """
 
     __slots__ = (
-        "_upper",
-        "_lower",
+        "_ux",
+        "_uy",
+        "_lx",
+        "_ly",
         "_upper_start",
         "_lower_start",
         "_rect",
@@ -63,15 +66,20 @@ class RangeLineFitter:
     )
 
     def __init__(self) -> None:
-        self._upper: list[tuple[float, float]] = []
-        self._lower: list[tuple[float, float]] = []
+        # Upper and lower hulls (of the hi and lo endpoints) as parallel
+        # x/y lists; the search for a new support starts at *_start.
+        self._ux: list[float] = []
+        self._uy: list[float] = []
+        self._lx: list[float] = []
+        self._ly: list[float] = []
         self._upper_start = 0
         self._lower_start = 0
-        # Corners of the feasible region in primal space:
-        # rect[0]-rect[2] realise the minimum slope, rect[1]-rect[3] the max.
-        self._rect: list[tuple[float, float]] = [(0.0, 0.0)] * 4
+        # Corners r0..r3 of the feasible region in primal space, flattened
+        # to (r0x, r0y, ..., r3x, r3y): r0-r2 realise the minimum slope,
+        # r1-r3 the maximum.
+        self._rect: tuple[float, ...] = _NO_RECT
         self._count = 0
-        self._last_t = float("-inf")
+        self._last_t = _NEG_INF
 
     @property
     def count(self) -> int:
@@ -81,110 +89,132 @@ class RangeLineFitter:
     def add(self, t: float, lo: float, hi: float) -> bool:
         """Try to extend the feasible set with the range ``[lo, hi]`` at ``t``.
 
-        Returns ``True`` if a stabbing line still exists (range accepted).
-        ``t`` must be strictly larger than every previously accepted abscissa.
+        Returns ``True`` if a stabbing line still exists (range accepted);
+        on ``False`` the state is untouched.  ``t`` must be strictly larger
+        than every previously accepted abscissa.
         """
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}] at t={t}")
-        if self._count and t <= self._last_t:
-            raise ValueError("abscissae must be strictly increasing")
+        return self.extend((t,), (lo,), (hi,), 0, 1) == 1
 
-        p_hi = (t, hi)
-        p_lo = (t, lo)
+    def extend(self, t, lo, hi, start: int, stop: int) -> int:
+        """Accept the ranges ``[lo[k], hi[k]]`` at ``t[k]`` for ``k`` from
+        ``start`` until the first rejected one, or ``stop``.
 
-        if self._count == 0:
-            self._rect[0] = p_hi
-            self._rect[1] = p_lo
-            self._upper = [p_hi]
-            self._lower = [p_lo]
-            self._upper_start = self._lower_start = 0
-            self._count = 1
-            self._last_t = t
-            return True
+        Returns the index of the first rejected range (``stop`` if all were
+        accepted); the state then holds every accepted range and nothing
+        else.  Raises ``ValueError`` on an empty range or a non-increasing
+        abscissa, after keeping the ranges accepted before it.
+        """
+        ux, uy, lx, ly = self._ux, self._uy, self._lx, self._ly
+        ustart = self._upper_start
+        lstart = self._lower_start
+        r0x, r0y, r1x, r1y, r2x, r2y, r3x, r3y = self._rect
+        count = self._count
+        last_t = self._last_t
+        k = start
+        try:
+            while k < stop:
+                tk = t[k]
+                lk = lo[k]
+                hk = hi[k]
+                if lk > hk:
+                    raise ValueError(f"empty range [{lk}, {hk}] at t={tk}")
+                if tk <= last_t and count:
+                    raise ValueError("abscissae must be strictly increasing")
 
-        if self._count == 1:
-            self._rect[2] = p_lo
-            self._rect[3] = p_hi
-            self._upper.append(p_hi)
-            self._lower.append(p_lo)
-            self._count = 2
-            self._last_t = t
-            return True
+                if count < 2:
+                    if count == 0:
+                        r0x, r0y, r1x, r1y = tk, hk, tk, lk
+                    else:
+                        r2x, r2y, r3x, r3y = tk, lk, tk, hk
+                    ux.append(tk)
+                    uy.append(hk)
+                    lx.append(tk)
+                    ly.append(lk)
+                    count += 1
+                    last_t = tk
+                    k += 1
+                    continue
 
-        r0, r1, r2, r3 = self._rect
-        slope1 = (r2[0] - r0[0], r2[1] - r0[1])  # min slope
-        slope2 = (r3[0] - r1[0], r3[1] - r1[1])  # max slope
+                s1x = r2x - r0x  # min slope
+                s1y = r2y - r0y
+                s2x = r3x - r1x  # max slope
+                s2y = r3y - r1y
 
-        # The new upper endpoint must lie above the min-slope line; the new
-        # lower endpoint must lie below the max-slope line.  Otherwise the
-        # feasible polygon would become empty.
-        outside_low = _slope_lt(p_hi[0] - r2[0], p_hi[1] - r2[1], *slope1)
-        outside_high = _slope_lt(*slope2, p_lo[0] - r3[0], p_lo[1] - r3[1])
-        if outside_low or outside_high:
-            return False
-
-        # Does the upper endpoint sharpen the max slope?
-        if _slope_lt(p_hi[0] - r1[0], p_hi[1] - r1[1], *slope2):
-            # Find the lower-hull point that, paired with p_hi, minimises the
-            # slope; this becomes the new max-slope support.
-            lo_hull = self._lower
-            i = self._lower_start
-            best = i
-            bx = lo_hull[i][0] - p_hi[0]
-            by = lo_hull[i][1] - p_hi[1]
-            for j in range(i + 1, len(lo_hull)):
-                cx = lo_hull[j][0] - p_hi[0]
-                cy = lo_hull[j][1] - p_hi[1]
-                if _slope_lt(bx, by, cx, cy):
+                # The new upper endpoint must lie above the min-slope line
+                # and the new lower endpoint below the max-slope line, or the
+                # feasible polygon would become empty.  Slopes of vectors
+                # with positive dx compare as a.dy * b.dx < b.dy * a.dx.
+                if (hk - r2y) * s1x < s1y * (tk - r2x):
                     break
-                bx, by = cx, cy
-                best = j
-            self._rect[1] = lo_hull[best]
-            self._rect[3] = p_hi
-            self._lower_start = best
-            # Maintain the upper hull with p_hi.
-            hull = self._upper
-            end = len(hull)
-            while (
-                end >= self._upper_start + 2
-                and _cross(*hull[end - 2], *hull[end - 1], *p_hi) <= 0
-            ):
-                end -= 1
-            del hull[end:]
-            hull.append(p_hi)
-
-        # Does the lower endpoint sharpen the min slope?
-        r0, r1, r2, r3 = self._rect
-        slope1 = (r2[0] - r0[0], r2[1] - r0[1])
-        if _slope_lt(*slope1, p_lo[0] - r0[0], p_lo[1] - r0[1]):
-            up_hull = self._upper
-            i = self._upper_start
-            best = i
-            bx = up_hull[i][0] - p_lo[0]
-            by = up_hull[i][1] - p_lo[1]
-            for j in range(i + 1, len(up_hull)):
-                cx = up_hull[j][0] - p_lo[0]
-                cy = up_hull[j][1] - p_lo[1]
-                if _slope_lt(cx, cy, bx, by):
+                if s2y * (tk - r3x) < (lk - r3y) * s2x:
                     break
-                bx, by = cx, cy
-                best = j
-            self._rect[0] = up_hull[best]
-            self._rect[2] = p_lo
-            self._upper_start = best
-            hull = self._lower
-            end = len(hull)
-            while (
-                end >= self._lower_start + 2
-                and _cross(*hull[end - 2], *hull[end - 1], *p_lo) >= 0
-            ):
-                end -= 1
-            del hull[end:]
-            hull.append(p_lo)
 
-        self._count += 1
-        self._last_t = t
-        return True
+                # Does the upper endpoint sharpen the max slope?
+                if (hk - r1y) * s2x < s2y * (tk - r1x):
+                    # The lower-hull point that, paired with (tk, hk),
+                    # minimises the slope becomes the new max-slope support.
+                    best = lstart
+                    bx = lx[best] - tk
+                    by = ly[best] - hk
+                    for j in range(best + 1, len(lx)):
+                        cx = lx[j] - tk
+                        cy = ly[j] - hk
+                        if by * cx < cy * bx:
+                            break
+                        bx, by = cx, cy
+                        best = j
+                    r1x, r1y, r3x, r3y = lx[best], ly[best], tk, hk
+                    lstart = best
+                    # Maintain the upper hull with (tk, hk): pop while the
+                    # last two points and it do not turn left.
+                    end = len(ux)
+                    while end >= ustart + 2 and (
+                        (ux[end - 1] - ux[end - 2]) * (hk - uy[end - 2])
+                        - (uy[end - 1] - uy[end - 2]) * (tk - ux[end - 2])
+                        <= 0
+                    ):
+                        end -= 1
+                    del ux[end:], uy[end:]
+                    ux.append(tk)
+                    uy.append(hk)
+
+                # Does the lower endpoint sharpen the min slope?
+                if s1y * (tk - r0x) < (lk - r0y) * s1x:
+                    # And symmetrically for the min-slope support.
+                    best = ustart
+                    bx = ux[best] - tk
+                    by = uy[best] - lk
+                    for j in range(best + 1, len(ux)):
+                        cx = ux[j] - tk
+                        cy = uy[j] - lk
+                        if cy * bx < by * cx:
+                            break
+                        bx, by = cx, cy
+                        best = j
+                    r0x, r0y, r2x, r2y = ux[best], uy[best], tk, lk
+                    ustart = best
+                    # Maintain the lower hull: pop while it does not turn right.
+                    end = len(lx)
+                    while end >= lstart + 2 and (
+                        (lx[end - 1] - lx[end - 2]) * (lk - ly[end - 2])
+                        - (ly[end - 1] - ly[end - 2]) * (tk - lx[end - 2])
+                        >= 0
+                    ):
+                        end -= 1
+                    del lx[end:], ly[end:]
+                    lx.append(tk)
+                    ly.append(lk)
+
+                count += 1
+                last_t = tk
+                k += 1
+        finally:
+            self._upper_start = ustart
+            self._lower_start = lstart
+            self._rect = (r0x, r0y, r1x, r1y, r2x, r2y, r3x, r3y)
+            self._count = count
+            self._last_t = last_t
+        return k
 
     def line(self) -> tuple[float, float]:
         """Return a feasible ``(slope, intercept)`` for all accepted ranges.
@@ -196,29 +226,27 @@ class RangeLineFitter:
         """
         if self._count == 0:
             raise ValueError("no ranges accepted")
+        r0x, r0y, r1x, r1y, r2x, r2y, r3x, r3y = self._rect
         if self._count == 1:
-            t, hi = self._rect[0]
-            _, lo = self._rect[1]
-            return 0.0, (hi + lo) / 2.0
+            return 0.0, (r0y + r1y) / 2.0
 
-        r0, r1, r2, r3 = self._rect
-        min_dx = r2[0] - r0[0]
-        min_dy = r2[1] - r0[1]
-        max_dx = r3[0] - r1[0]
-        max_dy = r3[1] - r1[1]
+        min_dx = r2x - r0x
+        min_dy = r2y - r0y
+        max_dx = r3x - r1x
+        max_dy = r3y - r1y
         # Degenerate supports: at extreme value scales float rounding can
         # collapse a diagonal onto a single abscissa (dx == 0).  Fall back to
         # the other support's slope anchored at the pinch midpoint — the
         # encoder re-measures residuals, so a slightly suboptimal line only
         # costs bits, never correctness.
         if min_dx == 0.0 and max_dx == 0.0:
-            return 0.0, (r0[1] + r2[1]) / 2.0
+            return 0.0, (r0y + r2y) / 2.0
         if min_dx == 0.0:
             slope = max_dy / max_dx
-            return slope, (r0[1] + r2[1]) / 2.0 - slope * r0[0]
+            return slope, (r0y + r2y) / 2.0 - slope * r0x
         if max_dx == 0.0:
             slope = min_dy / min_dx
-            return slope, (r1[1] + r3[1]) / 2.0 - slope * r1[0]
+            return slope, (r1y + r3y) / 2.0 - slope * r1x
         min_slope = min_dy / min_dx
         max_slope = max_dy / max_dx
         slope = (min_slope + max_slope) / 2.0
@@ -228,11 +256,11 @@ class RangeLineFitter:
         if abs(denom) < 1e-300:
             # Parallel supports: the polygon is (numerically) a segment; any
             # support point works.
-            px, py = r0
+            px, py = r0x, r0y
         else:
-            s = ((r1[0] - r0[0]) * max_dy - (r1[1] - r0[1]) * max_dx) / denom
-            px = r0[0] + s * min_dx
-            py = r0[1] + s * min_dy
+            s = ((r1x - r0x) * max_dy - (r1y - r0y) * max_dx) / denom
+            px = r0x + s * min_dx
+            py = r0y + s * min_dy
         return slope, py - slope * px
 
     def slope_range(self) -> tuple[float, float]:
@@ -241,8 +269,5 @@ class RangeLineFitter:
             raise ValueError("no ranges accepted")
         if self._count == 1:
             return float("-inf"), float("inf")
-        r0, r1, r2, r3 = self._rect
-        return (
-            (r2[1] - r0[1]) / (r2[0] - r0[0]),
-            (r3[1] - r1[1]) / (r3[0] - r1[0]),
-        )
+        r0x, r0y, r1x, r1y, r2x, r2y, r3x, r3y = self._rect
+        return (r2y - r0y) / (r2x - r0x), (r3y - r1y) / (r3x - r1x)

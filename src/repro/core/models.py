@@ -99,8 +99,13 @@ class Model(ABC):
     def evaluate_at(self, params: tuple[float, ...], x: int) -> float:
         """Scalar ``f(x)`` — the random-access hot path (Algorithm 3, line 6).
 
-        Overridden per model with plain ``math`` arithmetic; building a
-        one-element numpy array here would dominate the access latency.
+        Must equal ``evaluate(params, [x])[0]`` bit for bit: the corrections
+        were measured against the vectorised values, and a last-bit
+        difference can move the floor by one.  Models built from ``+ - * /``
+        and ``sqrt`` override it with plain float arithmetic, which is
+        correctly rounded either way; the ``exp``/``log`` models keep this
+        one-element evaluation, because ``math.exp`` and numpy's ``exp``
+        may round differently.
         """
         return float(self.evaluate(params, np.array([x], dtype=np.float64))[0])
 
@@ -224,9 +229,6 @@ class ExponentialModel(Model):
         return np.exp(np.minimum(t1 * xs + t2, 700.0))
 
 
-
-    def evaluate_at(self, params, x):
-        return math.exp(min(params[0] * x + params[1], 700.0))
 class PowerModel(Model):
     """``f(x) = θ2·x^θ1`` — row 2 of Table I.
 
@@ -249,9 +251,6 @@ class PowerModel(Model):
         return np.exp(np.minimum(t1 * np.log(xs) + t2, 700.0))
 
 
-
-    def evaluate_at(self, params, x):
-        return math.exp(min(params[0] * math.log(x) + params[1], 700.0))
 class LogarithmicModel(Model):
     """``f(x) = ln(θ2·x^θ1) = θ1·ln(x) + ln(θ2)`` — row 3 of Table I.
 
@@ -273,9 +272,6 @@ class LogarithmicModel(Model):
         return t1 * np.log(xs) + t2
 
 
-
-    def evaluate_at(self, params, x):
-        return params[0] * math.log(x) + params[1]
 class RadicalModel(Model):
     """``f(x) = θ1·√x + θ2`` — row 5 of Table I."""
 
@@ -453,10 +449,11 @@ class GaussianModel(AnchoredQuadraticModel):
         t1, t2, t3 = params
         return np.exp(np.minimum((t1 * xs + t2) * xs + t3, 700.0))
 
+    # Model's one-element evaluation, not the parent's float arithmetic: the
+    # exp must round as it does in ``evaluate``.
+    evaluate_at = Model.evaluate_at
 
 
-    def evaluate_at(self, params, x):
-        return math.exp(min((params[0] * x + params[1]) * x + params[2], 700.0))
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

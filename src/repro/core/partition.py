@@ -14,6 +14,14 @@ NeaTS encoding of that fragment.  Edges are enumerated *on the fly*: for every
 relaxed, as in the paper, which brings the memory down to O(n + |F||E|) and
 the time to O(|F| |E| n).
 
+Relaxing an edge needs only its endpoints, so opening a fragment computes
+just its end (one :meth:`~repro.core.convex.RangeLineFitter.extend` run for
+the two-parameter models).  Most opened fragments are never on the shortest
+path: each node remembers the start of the fragment its best edge lies in,
+and after the backward walk the parameters are fitted once per fragment on
+the path, from that start.  The fitter is deterministic, so these are the
+same floats as fitting every fragment when it is opened.
+
 The same routine with ``E = {ε}`` and a weight of ``κ_f`` alone yields the
 lossy partitioner of NeaTS-L (§III-B, "Partitioning for lossy compression").
 """
@@ -25,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FragmentFit, Model, get_model, make_approximation
+from .models import Model, get_model, make_approximation
+from .transforms import PairTransform, precompute_transform
 
 __all__ = [
     "Fragment",
@@ -113,67 +122,75 @@ def partition(
     if not eps_set:
         raise ValueError("need at least one error bound")
 
-    from .transforms import precompute_transform
-
-    pairs: list[tuple[Model, float, int, int]] = []
-    cached: list = []
+    pairs: list[tuple[Model, float]] = []
+    weights: list[tuple[int, int]] = []  # (correction bits, κ_f) per pair
+    cached: list[PairTransform | None] = []
     for model in resolved:
         kappa = _model_cost_bits(model)
         for eps in eps_set:
-            cbits = 0 if lossy else correction_bits(eps)
-            pairs.append((model, eps, cbits, kappa))
+            pairs.append((model, eps))
+            weights.append((0 if lossy else correction_bits(eps), kappa))
             cached.append(precompute_transform(model, eps, z))
 
     INF = float("inf")
     distance = [INF] * (n + 1)
     distance[0] = 0.0
-    # previous[v] = (u, pair_index, params): fragment [u, v) via that pair.
-    previous: list[tuple[int, int, tuple[float, ...]] | None] = [None] * (n + 1)
-    # Current fragment per pair: None or a FragmentFit with start <= k < end.
-    current: list[FragmentFit | None] = [None] * len(pairs)
+    # previous[v] = (u, pair_index, tile_start): edge [u, v) lies inside the
+    # fragment that pair opened at tile_start.
+    previous: list[tuple[int, int, int] | None] = [None] * (n + 1)
+    # The fragment each pair has open is [tile_start, tile_end); an end <= k
+    # means none covers k.  Only ends are computed here: parameters are
+    # fitted after the walk, for the fragments on the shortest path.
+    tile_start = [0] * len(pairs)
+    tile_end = [0] * len(pairs)
 
     for k in range(n):
         dk = distance[k]
-        for idx, (model, eps, cbits, kappa) in enumerate(pairs):
-            frag = current[idx]
-            if frag is None or frag.end <= k:
+        for idx, (cbits, kappa) in enumerate(weights):
+            if tile_end[idx] <= k:
                 # A new edge must be opened at k (line 10 of Algorithm 1).
+                tile_start[idx] = k
                 pre = cached[idx]
                 if pre is not None:
-                    frag = pre.longest_fragment(k)
+                    tile_end[idx] = pre.fragment_end(k)
                 else:
-                    frag = make_approximation(z, k, model, eps)
-                current[idx] = frag
+                    model, eps = pairs[idx]
+                    tile_end[idx] = make_approximation(z, k, model, eps).end
             else:
-                # Relax the prefix edge (frag.start, k) — lines 12-15.
-                i = frag.start
+                # Relax the prefix edge (tile_start, k) — lines 12-15.
+                i = tile_start[idx]
                 w = (k - i) * cbits + kappa
                 cand = distance[i] + w
-                if cand < distance[k]:
-                    distance[k] = cand
-                    previous[k] = (i, idx, frag.params)
+                if cand < dk:
                     dk = cand
-        # Relax suffix edges (k, frag.end) — lines 16-20.
-        dk = distance[k]
-        for idx, (model, eps, cbits, kappa) in enumerate(pairs):
-            frag = current[idx]
-            j = frag.end
+                    previous[k] = (i, idx, i)
+        distance[k] = dk
+        # Relax suffix edges (k, tile_end) — lines 16-20.
+        for idx, (cbits, kappa) in enumerate(weights):
+            j = tile_end[idx]
             w = (j - k) * cbits + kappa
             cand = dk + w
             if cand < distance[j]:
                 distance[j] = cand
-                previous[j] = (k, idx, frag.params)
+                previous[j] = (k, idx, tile_start[idx])
 
-    # Read the shortest path backwards (lines 21-26).
+    # Read the shortest path backwards (lines 21-26), fitting each fragment's
+    # parameters from the start its pair opened it at.  A prefix or suffix
+    # edge reuses the parameters of its enclosing fragment.
     fragments: list[Fragment] = []
     v = n
     while v > 0:
         entry = previous[v]
         if entry is None:  # pragma: no cover - the DAG is always connected
             raise RuntimeError(f"no path reaches node {v}")
-        u, idx, params = entry
-        model, eps, _, _ = pairs[idx]
-        fragments.append(Fragment(u, v, model.name, eps, params))
+        u, idx, start = entry
+        model, eps = pairs[idx]
+        pre = cached[idx]
+        if pre is not None:
+            fit = pre.longest_fragment(start)
+        else:
+            fit = make_approximation(z, start, model, eps)
+        fragments.append(Fragment(u, v, model.name, eps, fit.params))
         v = u
     fragments.reverse()
     return PartitionResult(fragments, distance[n])

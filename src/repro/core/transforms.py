@@ -1,16 +1,19 @@
-"""Vectorised precomputation of Theorem-1 transforms.
+"""Precomputed Theorem-1 transforms for the two-parameter models.
 
-``make_approximation`` calls ``model.transform`` once per point per
-``(f, ε)`` pair; for the two-parameter models every transform is a pure
-function of ``x`` (known upfront) and ``z ± ε`` (vectorisable with numpy).
-Precomputing the ``(t, lo, hi)`` arrays once per pair removes all per-point
-``math.log``/division work from the partitioning inner loop — an interpreter-
-level optimisation with no algorithmic effect (DESIGN.md notes that absolute
-speed is not the reproduction target, but a ~2x faster Algorithm 1 makes the
-benchmark suite far more pleasant).
+For the two-parameter models every transform is a pure function of ``x``
+(known upfront) and ``z ± ε``, so the ``(t, lo, hi)`` triples of one
+``(f, ε)`` pair are computed once, with numpy, for the whole series.
+Algorithm 1 then opens a fragment at ``k`` with a single
+:meth:`~repro.core.convex.RangeLineFitter.extend` run over the cached lists
+(:meth:`PairTransform.fragment_end`): one interpreter loop per fragment, no
+per-point ``model.transform`` call, and no line or parameters, since the
+shortest path keeps only a few of the fragments it opens.  The parameters
+of the kept ones come from :meth:`PairTransform.longest_fragment`, which
+replays the same run; the fitter is deterministic, so they are the floats
+the run would have produced.
 
 Anchored (three-parameter) models depend on the fragment's first point and
-cannot be precomputed; they keep the scalar path.
+cannot be precomputed; they keep the scalar path of ``make_approximation``.
 """
 
 from __future__ import annotations
@@ -36,21 +39,20 @@ class PairTransform:
         self.hi = hi
         self.n = len(t)
 
+    def fragment_end(self, start: int) -> int:
+        """End (exclusive) of the longest fragment starting at ``start``."""
+        return RangeLineFitter().extend(self.t, self.lo, self.hi, start, self.n)
+
     def longest_fragment(self, start: int) -> FragmentFit:
         """Equivalent of ``make_approximation`` using the cached transforms."""
         fitter = RangeLineFitter()
-        add = fitter.add
-        t, lo, hi = self.t, self.lo, self.hi
-        k = start
-        n = self.n
-        while k < n and add(t[k], lo[k], hi[k]):
-            k += 1
-        if k == start:  # first point rejected: cannot happen post-shift
+        end = fitter.extend(self.t, self.lo, self.hi, start, self.n)
+        if end == start:  # first point rejected: cannot happen post-shift
             raise RuntimeError(
                 f"model {self.model.name!r} cannot start at index {start}"
             )
         m, b = fitter.line()
-        return FragmentFit(start, k, self.model.params_from_line(m, b))
+        return FragmentFit(start, end, self.model.params_from_line(m, b))
 
 
 def precompute_transform(

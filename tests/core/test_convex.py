@@ -1,7 +1,10 @@
 """Unit tests for the O'Rourke feasible-region fitter."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.convex import RangeLineFitter
 
@@ -175,3 +178,108 @@ class TestMaximality:
             if stopped < n:
                 pts1 = pts + [(float(stopped + 1), ys[stopped] - eps, ys[stopped] + eps)]
                 assert not brute_force_feasible(pts1)
+
+
+def _run_with_add(t, lo, hi):
+    """Feed ranges one at a time; return (end, error) like ``extend``."""
+    f = RangeLineFitter()
+    for k in range(len(t)):
+        try:
+            if not f.add(t[k], lo[k], hi[k]):
+                return f, k, None
+        except ValueError as exc:
+            return f, k, exc
+    return f, len(t), None
+
+
+def _same_floats(a, b):
+    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+
+
+def _outcome(method):
+    try:
+        return method()
+    except ArithmeticError as exc:  # a support collapsed onto one abscissa
+        return type(exc)
+
+
+def _same_state(f, g):
+    assert f.count == g.count
+    if f.count:
+        for a, b in ((f.line, g.line), (f.slope_range, g.slope_range)):
+            x, y = _outcome(a), _outcome(b)
+            assert x == y if isinstance(x, type) else _same_floats(x, y)
+
+
+_ranges = st.lists(
+    st.tuples(
+        # abscissa step: mostly positive, sometimes tiny, zero or negative
+        st.one_of(
+            st.floats(1e-3, 10.0),
+            st.sampled_from([0.0, -1.0, 1e-300, 5e-324, 1e-9, 0.125]),
+        ),
+        # range centre: ordinary and near-1e15 magnitudes
+        st.one_of(st.floats(-1e3, 1e3), st.floats(-1e15, 1e15), st.just(1e15)),
+        # half-width: 0 gives lo == hi
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, 1e15)),
+        # swap lo and hi (an empty range) at this point
+        st.sampled_from([False] * 15 + [True]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestExtendMatchesAdd:
+    @given(
+        ranges=_ranges,
+        t0=st.sampled_from([0.0, 1.0, 1e15, -1e15]),
+        split=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_extend_equals_one_add_per_range(self, ranges, t0, split):
+        t, lo, hi = [], [], []
+        x = t0
+        for dt, mid, half, swap in ranges:
+            x += dt
+            a, b = mid - half, mid + half
+            t.append(x)
+            lo.append(b if swap else a)
+            hi.append(a if swap else b)
+        ref, ref_end, ref_err = _run_with_add(t, lo, hi)
+
+        # One run, then the same ranges as two runs over one fitter.
+        for cuts in ((0, len(t)), (0, min(split, len(t)), len(t))):
+            f = RangeLineFitter()
+            err = None
+            for a, b in zip(cuts, cuts[1:]):
+                try:
+                    if f.extend(t, lo, hi, a, b) < b:
+                        break
+                except ValueError as exc:
+                    err = exc
+                    break
+            # Every run starts at 0, so the accepted count is the end index.
+            assert f.count == ref_end
+            assert (err is None) == (ref_err is None)
+            if err is not None:
+                assert str(err) == str(ref_err)
+            _same_state(f, ref)
+
+    def test_extend_from_an_offset_returns_absolute_index(self):
+        t = [float(k) for k in range(10)]
+        lo = [0.0] * 6 + [100.0] * 4
+        hi = [1.0] * 6 + [101.0] * 4
+        assert RangeLineFitter().extend(t, lo, hi, 2, 10) == 6
+        assert RangeLineFitter().extend(t, lo, hi, 6, 10) == 10
+        assert RangeLineFitter().extend(t, lo, hi, 3, 3) == 3
+
+    def test_extend_keeps_ranges_accepted_before_an_error(self):
+        f = RangeLineFitter()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            f.extend([1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0, 3)
+        assert f.count == 2
+        with pytest.raises(ValueError, match="empty range"):
+            f.extend([3.0, 4.0], [0.0, 2.0], [1.0, 1.0], 0, 2)
+        assert f.count == 3
+        assert f.add(5.0, 0.0, 1.0)
