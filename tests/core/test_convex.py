@@ -181,7 +181,7 @@ class TestMaximality:
 
 
 def _run_with_add(t, lo, hi):
-    """Feed ranges one at a time; return (end, error) like ``extend``."""
+    """Feed ranges one at a time: (fitter, first index not accepted, error)."""
     f = RangeLineFitter()
     for k in range(len(t)):
         try:
@@ -193,7 +193,9 @@ def _run_with_add(t, lo, hi):
 
 
 def _same_floats(a, b):
-    return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b))
+    return len(a) == len(b) and all(
+        x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(a, b)
+    )
 
 
 def _outcome(method):
