@@ -13,9 +13,10 @@ the *whole* structure up front, without decoding values unless asked:
   tail (bytes past the last complete record) is reported as a defect: the
   format recovers from it, but the bytes are a lost append;
 * **SeriesDB directories**: manifest format and entries, shard files
-  present with matching crc32 and snapshot magic, WAL generation files
-  consistent with the manifest (codec and digits match the configuration),
-  dangling files in ``shards/`` no manifest entry references;
+  present with matching crc32 and snapshot magic, the group log (and any
+  legacy per-series ``RPAL0001`` WAL) consistent with the manifest (codec
+  and digits match the configuration), dangling files in ``shards/`` no
+  manifest entry references;
 * ``--deep`` additionally decodes every frame/shard: value counts must
   match the recorded headers, manifest counts must equal snapshot + WAL
   replay, and lossy payloads must agree with their frame params (ε and
@@ -460,7 +461,7 @@ def _fsck_shard(
 def _fsck_group_log(
     report: FsckReport, path: Path, manifest: dict, deep: bool
 ) -> dict[str, int]:
-    """Structurally verify one group-commit WAL (``RPGW0001``).
+    """Structurally verify one group WAL (``RPGW0001``).
 
     Returns per-series value counts taken from the frame headers, so the
     caller can fold them into the deep replay cross-check (FSK029).
@@ -672,12 +673,6 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
     group_rel = manifest.get("group_wal")
     if group_rel:
         referenced.add(group_rel)
-        if not bool(manifest.get("group_commit", False)):
-            report.add(
-                "FSK034", manifest_path,
-                f"manifest references group WAL {group_rel!r} but "
-                "group_commit is off",
-            )
         group_path = root / group_rel
         # Absent is fine: group logs are created lazily at first append.
         if group_path.exists():

@@ -420,7 +420,6 @@ DURABILITY_ALLOWED = (
     ("codecs/container.py", "write_atomic"),
     ("codecs/container.py", "AppendableArchive.open"),
     ("codecs/container.py", "AppendableArchive.append"),
-    ("codecs/container.py", "AppendableArchive.append_many"),
     ("codecs/container.py", "GroupLog.open"),
     ("codecs/container.py", "GroupLog.append_group"),
 )
@@ -485,7 +484,7 @@ def check_durability(module: Module) -> list[Finding]:
 GUARDED_STATE: dict[str, frozenset[str]] = {
     "SeriesDB": frozenset({
         "_stores", "_dirty", "_cached_gen", "_series",
-        "_wals", "_wal_synced", "_next_shard",
+        "_wal_synced", "_next_shard",
         "_group_name", "_group_log", "_group_pending",
     }),
     "PartitionedSeriesDB": frozenset({

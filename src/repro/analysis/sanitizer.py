@@ -40,9 +40,7 @@ monkeypatches the chokepoints:
   too (façade-then-partition nesting feeds the same inversion graph), and
   every partition-map mutation notes a write on
   ``PartitionedSeriesDB@<root>:partition-map``, so unordered concurrent
-  placement of new series is reported as a data race.  Group-commit WAL
-  appends (``_append_wal_group``) note the same ``:wal`` domain as
-  per-series appends.
+  placement of new series is reported as a data race.
 
 The verdict (:meth:`Ledger.report`): ``leaks`` (live unclosed maps after a
 ``gc.collect()``), ``inversions``, and ``races`` fail a sanitized run;
@@ -481,7 +479,6 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
     _saved["db_store_for_ingest"] = seriesdb.SeriesDB._store_for_ingest
     _saved["db_flush"] = seriesdb.SeriesDB.flush
     _saved["db_append_wal"] = seriesdb.SeriesDB._append_wal
-    _saved["db_append_wal_group"] = seriesdb.SeriesDB._append_wal_group
     _saved["db_close"] = seriesdb.SeriesDB.close
     _saved["pdb_init"] = partitioned.PartitionedSeriesDB.__init__
     _saved["pdb_assign"] = partitioned.PartitionedSeriesDB._assign
@@ -562,22 +559,11 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
 
     original_append_wal = seriesdb.SeriesDB._append_wal
 
-    def traced_append_wal(self, series_id, values, **kwargs):
+    def traced_append_wal(self, batches):
         ledger = _active
         if ledger is not None:
             ledger.note_write(f"SeriesDB@{self._root}:wal")
-        return original_append_wal(self, series_id, values, **kwargs)
-
-    original_append_wal_group = seriesdb.SeriesDB._append_wal_group
-
-    def traced_append_wal_group(self, batches):
-        # Group commit writes one shared log, but the guarded state is the
-        # same WAL domain as per-series appends — use the same label so a
-        # racy mix of the two modes is still a conflict on one variable.
-        ledger = _active
-        if ledger is not None:
-            ledger.note_write(f"SeriesDB@{self._root}:wal")
-        return original_append_wal_group(self, batches)
+        return original_append_wal(self, batches)
 
     original_close = seriesdb.SeriesDB.close
 
@@ -618,7 +604,6 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
     seriesdb.SeriesDB._store_for_ingest = traced_store_for_ingest
     seriesdb.SeriesDB.flush = traced_flush
     seriesdb.SeriesDB._append_wal = traced_append_wal
-    seriesdb.SeriesDB._append_wal_group = traced_append_wal_group
     seriesdb.SeriesDB.close = traced_close
     partitioned.PartitionedSeriesDB.__init__ = traced_pdb_init
     partitioned.PartitionedSeriesDB._assign = traced_assign
@@ -647,7 +632,6 @@ def disable() -> None:
     seriesdb.SeriesDB._store_for_ingest = _saved.pop("db_store_for_ingest")
     seriesdb.SeriesDB.flush = _saved.pop("db_flush")
     seriesdb.SeriesDB._append_wal = _saved.pop("db_append_wal")
-    seriesdb.SeriesDB._append_wal_group = _saved.pop("db_append_wal_group")
     seriesdb.SeriesDB.close = _saved.pop("db_close")
     partitioned.PartitionedSeriesDB.__init__ = _saved.pop("pdb_init")
     partitioned.PartitionedSeriesDB._assign = _saved.pop("pdb_assign")

@@ -29,10 +29,9 @@ Because partitions share nothing, the façade can fan work out:
   groups over threads and gather the answers — queries against distinct
   partitions contend on distinct locks.
 
-Each partition is created in **group-commit** mode by default
-(``SeriesDB(group_commit=True)``): one ``ingest_many`` batch costs one
-fsync *per partition*, not one per series — the write-throughput unlock
-the PR 5 follow-up called for.
+Each partition logs through its own group log, like every SeriesDB:
+one ``ingest_many`` batch costs one fsync *per partition*, not one per
+series.
 
 **Partition map.**  The root manifest pins every series to its partition
 explicitly (``"series": {"cpu": 0, "mem": 3, ...}``, in global ingestion
@@ -132,10 +131,6 @@ class PartitionedSeriesDB:
     partitions:
         Partition count, fixed at creation time (re-partitioning is a
         :meth:`migrate` of a future PR).
-    group_commit:
-        Passed to every partition at creation; defaults to ``True`` here
-        (the façade exists for write throughput) while single-dir
-        ``SeriesDB`` defaults to ``False`` for byte-compatibility.
     seal_threshold / hot_codec / cold_codec / hot_params / cold_params /
     allow_lossy / cache_capacity / lazy:
         As on :class:`~repro.store.seriesdb.SeriesDB`; the tier
@@ -155,7 +150,6 @@ class PartitionedSeriesDB:
         hot_params: dict | None = None,
         cold_params: dict | None = None,
         allow_lossy: bool = False,
-        group_commit: bool = True,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> None:
@@ -192,7 +186,6 @@ class PartitionedSeriesDB:
                 )
             }
             self._config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-            self._config["group_commit"] = bool(manifest.get("group_commit", True))
             self._series_map = {
                 sid: int(part) for sid, part in manifest["series"].items()
             }
@@ -210,7 +203,6 @@ class PartitionedSeriesDB:
                 "cold_codec": cold_codec,
                 "cold_params": dict(cold_params or {}),
                 "allow_lossy": bool(allow_lossy),
-                "group_commit": bool(group_commit),
             }
             # Partitions first, root manifest last: a crash mid-creation
             # leaves partition dirs a re-run adopts, never a root manifest
@@ -291,7 +283,6 @@ class PartitionedSeriesDB:
         src_dir,
         *,
         partitions: int = 4,
-        group_commit: bool = True,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> "PartitionedSeriesDB":
@@ -305,15 +296,14 @@ class PartitionedSeriesDB:
         ``RPPD0001``: a crash before it leaves the source database intact
         (plus partition dirs a re-run replaces); after it, the partitioned
         database is live and the old ``shards/`` tree is deleted as
-        post-commit cleanup.  The source is flushed first, so no append
-        log carries live values across the conversion.
-
-        ``group_commit`` selects the partitions' durability layout from
-        here on (the source's per-series logs are empty after the flush).
-        Returns the open :class:`PartitionedSeriesDB`.
+        post-commit cleanup.  The source is flushed first, so no log
+        carries live values across the conversion (the flush also retires
+        any legacy per-series logs); each partition starts a fresh group
+        log at its first ingest.  Returns the open
+        :class:`PartitionedSeriesDB`.
         """
         src_dir = Path(src_dir)
-        src = SeriesDB.open(src_dir)  # replays any surviving append logs
+        src = SeriesDB.open(src_dir)  # replays any surviving logs
         try:
             src.flush()
         finally:
@@ -333,7 +323,6 @@ class PartitionedSeriesDB:
             )
         }
         config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-        config["group_commit"] = bool(group_commit)
         series_map = {
             sid: zlib.crc32(sid.encode("utf-8")) % partitions
             for sid in manifest["series"]
@@ -347,9 +336,6 @@ class PartitionedSeriesDB:
                 if owner != part:
                     continue
                 entry = dict(manifest["series"][sid])
-                # Rotated-away log generations reference no file; partitions
-                # start with fresh logs in their own layout.
-                entry.pop("wal", None)
                 shard = entry["shard"]
                 if (src_dir / shard).exists():
                     shutil.copyfile(src_dir / shard, path / shard)

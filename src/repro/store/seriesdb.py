@@ -40,17 +40,24 @@ frames parsed zero-copy off the map (the lazy open path of
 :mod:`repro.codecs.container`) instead of being read and copied.
 
 Ingested values are durable *before* :meth:`flush`: every ``ingest`` /
-``ingest_many`` first lands the new values in the series' **write-ahead
-append log** — an appendable archive (``RPAL0001``, see
-:class:`repro.codecs.container.AppendableArchive`) compressed with the hot
-codec, one fsync'd tail record per batch — and only then mutates the
-in-memory shard.  The manifest references the log before any data lands
-in it, so after a crash the next open finds the log, replays it on top of
-the shard snapshot, and re-marks the shard dirty; a record torn by a
-mid-append crash is detected and skipped, keeping every completed batch.
-:meth:`flush` consolidates: the snapshot absorbs the logged values, the
-manifest commit rotates to a fresh (empty) log generation, and the old
-log file is dropped post-commit.
+``ingest_many`` call first lands its values in the database's
+**write-ahead group log** — one ``RPGW0001`` file
+(:class:`repro.codecs.container.GroupLog`) compressed with the hot codec,
+whose records each carry a series id — as ONE fsync'd tail write however
+many series the call touches, and only then mutates the in-memory shards.
+The manifest references the log before any data lands in it, so after a
+crash the next open finds the log, regroups its records per series,
+replays them on top of the shard snapshots, and re-marks those shards
+dirty; a tail torn by a mid-append crash is skipped, keeping every
+completed batch.  :meth:`flush` consolidates: the snapshots absorb the
+logged values, the manifest commit rotates to a fresh (empty) log
+generation, and the old log file is dropped post-commit.
+
+Databases written before the group log was the only format may still
+hold a per-series ``RPAL0001`` append log (a manifest entry's ``"wal"``
+key).  Such a log is replayed read-only, before that series' group-log
+records; the next :meth:`flush` drops the key and deletes the file after
+its commit.  No new per-series log is ever written.
 
 All other mutations stay in memory until :meth:`flush`, and every shard
 read is crc-checked on the way back in — a swapped or bit-rotted shard
@@ -58,7 +65,7 @@ file fails loudly instead of answering queries from the wrong series.
 
 Thread safety: every public method takes the database's re-entrant lock
 (``self._lock``), so one :class:`SeriesDB` handle can be shared by many
-threads — the shard cache, dirty set, WAL writers, and manifest state are
+threads — the shard cache, dirty set, WAL writer, and manifest state are
 only ever mutated under it.  Private helpers are documented as
 called-under-lock (the lock is taken at the public API boundary), and the
 ``repro lint`` lock-discipline rule (RPR301) enforces the convention
@@ -80,7 +87,6 @@ import numpy as np
 
 from ..baselines.base import Compressed
 from ..codecs.container import (
-    AppendableArchive,
     GroupLog,
     mmap_view,
     open_archive,
@@ -122,14 +128,8 @@ class SeriesDB:
         never be lossy — consolidation decodes it, and re-approximating
         an approximation would compound the error beyond any bound.
     group_commit:
-        Durability layout, fixed at creation time and recorded in the
-        manifest.  ``False`` (the default) keeps one append log per
-        series: an ``ingest_many`` batch touching K series costs K
-        fsyncs.  ``True`` replaces them with ONE shared group log
-        (:class:`~repro.codecs.container.GroupLog`): each record carries
-        its series id, so a whole batch lands as a single fsync'd tail
-        write — the group commit.  Recovery regroups records per series
-        and replays them exactly like per-series logs.
+        Deprecated and ignored: every database logs through the one
+        shared group log.  Still accepted so older callers keep working.
     cache_capacity:
         Maximum number of *clean* open shards kept parsed in the LRU
         cache (``None`` = unbounded).  Dirty shards are pinned until
@@ -152,10 +152,11 @@ class SeriesDB:
         hot_params: dict | None = None,
         cold_params: dict | None = None,
         allow_lossy: bool = False,
-        group_commit: bool = False,
+        group_commit: bool | None = None,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> None:
+        del group_commit  # deprecated and ignored (see the class docstring)
         # Created before any shared state: every public method (and the
         # recovery path below) runs under this re-entrant lock.
         self._lock = threading.RLock()
@@ -168,15 +169,12 @@ class SeriesDB:
         self._stores: OrderedDict[str, TieredStore] = OrderedDict()
         self._cached_gen: dict[str, str] = {}  # shard filename at load time
         self._dirty: set[str] = set()
-        self._wals: dict[str, AppendableArchive] = {}  # open append-log writers
-        # Append-log *generation names* the on-disk manifest references.
-        # Tracking names (not series ids) matters: a flush that dies between
-        # rotating a log name in memory and committing the manifest must
-        # force a re-commit before the next record lands, or data would land
-        # in a file recovery cannot find.
-        self._wal_synced: set[str] = set()
-        # Group-commit state: in group mode all series share ONE log (see
-        # _append_wal_group); these stay inert in per-series-WAL mode.
+        # The group-log generation the on-disk manifest references.  A flush
+        # that dies between rotating the name in memory and committing the
+        # manifest must force a re-commit before the next record lands, or
+        # data would land in a file recovery cannot find.
+        self._wal_synced: str | None = None
+        # All series share ONE write-ahead log (see _append_wal).
         self._group_name: str | None = None
         self._group_log: GroupLog | None = None
         self._group_pending: dict[str, list[np.ndarray]] = {}
@@ -200,14 +198,12 @@ class SeriesDB:
             }
             # Pre-lossy manifests carry no flag; their codecs are lossless.
             self._config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-            # Pre-group-commit manifests carry no flag; they use per-series
-            # logs.  The mode is fixed at creation time — the constructor
-            # argument is ignored for an existing database, like the codecs.
-            self._config["group_commit"] = bool(manifest.get("group_commit", False))
+            # An old manifest's "group_commit" flag is ignored (and dropped
+            # by the next commit): every database logs through the group log.
             self._group_name = manifest.get("group_wal")
+            self._wal_synced = self._group_name
             self._series: dict[str, dict] = dict(manifest["series"])
             self._next_shard = int(manifest["next_shard"])
-            self._wal_synced = self._wal_names()
             self._recover_append_logs()
         else:
             if not isinstance(hot_codec, str) or not isinstance(cold_codec, str):
@@ -227,7 +223,6 @@ class SeriesDB:
                 "cold_codec": cold_codec,
                 "cold_params": dict(cold_params or {}),
                 "allow_lossy": bool(allow_lossy),
-                "group_commit": bool(group_commit),
             }
             self._series = {}
             self._next_shard = 0
@@ -319,7 +314,6 @@ class SeriesDB:
             self.flush()
             self._stores.clear()
             self._cached_gen.clear()
-            self._wals.clear()
             self._group_log = None
             self._closed = True
 
@@ -409,10 +403,9 @@ class SeriesDB:
         in the manifest, like the archive container does; appending to an
         existing series with a different scaling raises.
 
-        The values are durable when this returns: they land in the series'
-        append log (one fsync'd record) before the in-memory shard is
-        touched, and :meth:`flush` later consolidates them into the shard
-        snapshot.
+        The values are durable when this returns: they land in the group
+        log (one fsync'd record) before the in-memory shard is touched,
+        and :meth:`flush` later consolidates them into the shard snapshot.
         """
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1:
@@ -423,10 +416,7 @@ class SeriesDB:
             store = self._store_for_ingest(series_id)
             self._apply_digits(series_id, digits)
             if len(values):
-                if self._config["group_commit"]:
-                    self._append_wal_group([(series_id, values)])
-                else:
-                    self._append_wal(series_id, values)
+                self._append_wal([(series_id, values)])
             store.extend(values)
             self._dirty.add(series_id)
             return len(store)
@@ -441,7 +431,8 @@ class SeriesDB:
         :func:`~repro.store.compress_many_frames` fan-out (``workers``
         processes), then adopted into each shard in order; partial-buffer
         heads and tails take the serial path.  The resulting shards are
-        byte-identical to serial :meth:`ingest` calls.
+        byte-identical to serial :meth:`ingest` calls.  The whole batch
+        lands in the group log as one fsync'd write.
 
         Returns series id -> new total count.
         """
@@ -479,32 +470,20 @@ class SeriesDB:
                 workers=workers,
                 **self._config["hot_params"],
             )
-            # Phase 3 — apply.  Register every series and its log generation
-            # first, so the whole batch needs one manifest commit instead of
-            # one per new series inside _append_wal.
+            # Phase 3 — apply: register every series, log the whole batch
+            # (ONE fsync), then extend the stores.
             counts = {}
             stores = {}
-            group_mode = bool(self._config["group_commit"])
             pending_log: list[tuple[str, np.ndarray]] = []
             for sid, values, head, n_chunks in plans:
                 stores[sid] = self._store_for_ingest(sid)
                 self._apply_digits(sid, digits)
                 if len(values):
-                    if group_mode:
-                        pending_log.append((sid, values))
-                        if self._group_name is None:
-                            self._group_name = self._group_gen_name()
-                    elif "wal" not in self._series[sid]:
-                        self._series[sid]["wal"] = self._gen_name(sid, ".wal")
-            self._sync_wal_manifest()  # no-op when every log is referenced
-            if pending_log:  # the group commit: ONE fsync for the whole batch
-                self._append_wal_group(pending_log)
+                    pending_log.append((sid, values))
+            if pending_log:
+                self._append_wal(pending_log)
             for sid, values, head, n_chunks in plans:
                 store = stores[sid]
-                if len(values) and not group_mode:
-                    # One durable append-log record per series, routed
-                    # through the coalescing writer shared with group mode.
-                    self._append_wal(sid, values, batched=True)
                 self._dirty.add(sid)
                 if head:
                     store.extend(values[:head])
@@ -615,9 +594,10 @@ class SeriesDB:
         commits — a crash mid-flush leaves the manifest pointing at the
         previous intact shards (plus, at worst, some orphan files), never
         at a shard whose crc it cannot verify.  The same commit rotates
-        each flushed series to a fresh (empty) append-log generation: the
-        snapshot now holds everything the old log held, so the old log
-        file is dropped post-commit alongside the replaced shard.
+        the group log to a fresh (empty) generation and drops every legacy
+        per-series ``"wal"`` key: the snapshots now hold everything those
+        logs held, so the old log files are deleted post-commit alongside
+        the replaced shards.
         """
         with self._lock:
             self._check_open()
@@ -629,19 +609,13 @@ class SeriesDB:
                 old = self._root / entry["shard"]
                 # Write the snapshot before touching the entry: if the write
                 # raises (disk full), the entry still points at the previous
-                # intact shard and log, and a later manifest commit (e.g.
-                # from _sync_wal_manifest) stays consistent.
+                # intact shard, and a later manifest commit stays consistent.
                 shard = self._shard_name(sid) if old.exists() else entry["shard"]
                 _write_atomic(self._root / shard, blob)
                 if shard != entry["shard"]:  # rewrite: drop old post-commit
                     entry["shard"] = shard
                     replaced.append(old)
                 self._cached_gen[sid] = shard
-                old_wal = entry.get("wal")
-                if old_wal and (self._root / old_wal).exists():
-                    entry["wal"] = self._gen_name(sid, ".wal")
-                    replaced.append(self._root / old_wal)
-                self._wals.pop(sid, None)
                 report = store.tier_report()
                 entry.update(
                     count=len(store),
@@ -650,15 +624,21 @@ class SeriesDB:
                     cold_values=report["cold_values"],
                     buffer_values=report["buffer_values"],
                 )
-            # Group mode rotates the ONE shared log: everything it held is
-            # dirty, so everything it held was just flushed into snapshots.
+            # Every value a legacy per-series log held was replayed into a
+            # dirty shard at open, so this commit retires those logs.
+            for entry in self._series.values():
+                legacy = entry.pop("wal", None)
+                if legacy:
+                    replaced.append(self._root / legacy)
+            # Rotate the group log: everything it held is dirty, so
+            # everything it held was just flushed into snapshots.
             if self._group_name and (self._root / self._group_name).exists():
                 replaced.append(self._root / self._group_name)
                 self._group_name = self._group_gen_name()
                 self._group_log = None
             self._dirty.clear()
             self._write_manifest()  # the commit point
-            self._wal_synced = self._wal_names()
+            self._wal_synced = self._group_name
             for path in replaced:
                 path.unlink(missing_ok=True)
             self._evict()  # flushed shards are clean and evictable again
@@ -701,75 +681,34 @@ class SeriesDB:
             cold_params=self._config["cold_params"],
         )
 
-    def _gen_name(self, series_id: str, suffix: str) -> str:
-        """A fresh, never-reused generation filename for ``series_id``."""
+    def _shard_name(self, series_id: str) -> str:
+        """A fresh, never-reused shard generation filename for ``series_id``."""
         stem = _UNSAFE.sub("_", series_id)[:48] or "series"
-        name = f"{_SHARD_DIR}/{stem}-{self._next_shard:04d}{suffix}"
+        name = f"{_SHARD_DIR}/{stem}-{self._next_shard:04d}.tier"
         self._next_shard += 1
         return name
 
-    def _shard_name(self, series_id: str) -> str:
-        return self._gen_name(series_id, ".tier")
+    # -- the write-ahead log --------------------------------------------------
 
-    # -- the write-ahead append log -------------------------------------------
+    def _append_wal(self, batches: list[tuple[str, np.ndarray]]) -> None:
+        """Land ingest batches in the group log, durably, before the stores.
 
-    def _append_wal(
-        self, series_id: str, values: np.ndarray, *, batched: bool = False
-    ) -> None:
-        """Land ``values`` in the series' append log, durably, before the store.
-
-        The log is an appendable archive compressed with the hot codec —
-        the same cheap streaming codec the values are headed for anyway.
-        The manifest is committed first whenever it does not yet reference
-        this log generation (new series, or first append after a rotation
-        on an old-format manifest): crash recovery finds logs through the
+        Every ``(series id, values)`` pair in ``batches`` becomes one
+        record of the database's single
+        :class:`~repro.codecs.container.GroupLog`, compressed with the hot
+        codec — the same cheap streaming codec the values are headed for
+        anyway — and all of them share one tail write + fsync.  The
+        manifest is committed first whenever it does not yet reference
+        this log generation: crash recovery finds the log through the
         manifest, so data must never land in an unreferenced file.
-
-        ``batched`` routes the write through
-        :meth:`~repro.codecs.container.AppendableArchive.append_many` —
-        byte-identical on disk, used by :meth:`ingest_many` so the batch
-        path exercises the same coalescing writer group commit relies on.
-        """
-        entry = self._series[series_id]
-        if "wal" not in entry:
-            entry["wal"] = self._gen_name(series_id, ".wal")
-        if entry["wal"] not in self._wal_synced:
-            self._sync_wal_manifest()
-        wal = self._wals.get(series_id)
-        if wal is None:
-            path = self._root / entry["wal"]
-            if path.exists():
-                wal = AppendableArchive.open(path)
-            else:
-                wal = AppendableArchive.create(
-                    path,
-                    codec=self._config["hot_codec"],
-                    digits=int(entry.get("digits", 0)),
-                    **self._config["hot_params"],
-                )
-            self._wals[series_id] = wal
-        if batched:
-            wal.append_many([values])
-        else:
-            wal.append(values)
-
-    def _append_wal_group(self, batches: list[tuple[str, np.ndarray]]) -> None:
-        """Land a whole ingest batch in the shared group log — ONE fsync.
-
-        The group-commit counterpart of :meth:`_append_wal` (called under
-        the lock, group mode only): every ``(series id, values)`` pair in
-        ``batches`` becomes one record of the database's single
-        :class:`~repro.codecs.container.GroupLog`, and all of them share
-        one tail write + fsync.  The same manifest-first discipline
-        applies — the log generation must be referenced by the on-disk
-        manifest before data lands in it.  Records carry series id and
-        digits, so recovery can even re-register a series whose manifest
-        entry never committed.
+        Records carry series id and digits, so recovery can even
+        re-register a series whose manifest entry never committed.
         """
         if self._group_name is None:
             self._group_name = self._group_gen_name()
-        if self._group_name not in self._wal_synced:
-            self._sync_wal_manifest()
+        if self._group_name != self._wal_synced:
+            self._write_manifest()
+            self._wal_synced = self._group_name
         log = self._group_log
         if log is None:
             path = self._root / self._group_name
@@ -793,76 +732,49 @@ class SeriesDB:
         self._next_shard += 1
         return name
 
-    def _wal_names(self) -> set[str]:
-        """Every log generation the manifest must reference to be durable."""
-        names = {e["wal"] for e in self._series.values() if "wal" in e}
-        if self._group_name:
-            names.add(self._group_name)
-        return names
-
-    def _sync_wal_manifest(self) -> None:
-        """Commit the manifest unless it already references every log name."""
-        names = self._wal_names()
-        if not names <= self._wal_synced:
-            self._write_manifest()
-            self._wal_synced = names
-
     def _replay_wal(self, series_id: str, store: TieredStore) -> None:
         """Re-apply logged values a crash kept out of the shard snapshot.
 
-        Called on every fresh shard load.  The log referenced by the
-        manifest holds exactly the values appended since the snapshot was
-        committed (flush rotates to an empty generation atomically with
-        the snapshot count), so replay is a plain ``extend`` — and the
-        shard is re-marked dirty so the next flush consolidates it.  In
-        group mode the values were regrouped per series up front (see
-        :meth:`_recover_group_log`) and drain from ``_group_pending``.
+        Called on every fresh shard load.  The logs the manifest references
+        hold exactly the values appended since the snapshot was committed
+        (flush rotates them atomically with the snapshot count), so replay
+        is a plain ``extend`` — and the shard is re-marked dirty so the
+        next flush consolidates it.  A legacy per-series log is replayed
+        first (read-only: every complete record crc-checked, nothing
+        truncated), since it predates any group-log record; then the
+        series' group-log values, regrouped up front by
+        :meth:`_recover_append_logs`, drain from ``_group_pending``.
         """
-        if self._config["group_commit"]:
-            for values in self._group_pending.pop(series_id, ()):
-                store.extend(values)
+        legacy = self._series[series_id].get("wal")
+        if legacy and (self._root / legacy).exists():
+            log = open_archive(self._root / legacy)
+            if len(log):
+                store.extend(log.decompress())
                 self._dirty.add(series_id)
-            return
-        name = self._series[series_id].get("wal")
-        if not name:
-            return
-        path = self._root / name
-        if not path.exists():
-            return
-        log = open_archive(path)  # eager: every complete record crc-checked
-        if len(log) == 0:
-            return
-        store.extend(log.decompress())
-        self._dirty.add(series_id)
+        for values in self._group_pending.pop(series_id, ()):
+            store.extend(values)
+            self._dirty.add(series_id)
 
     def _recover_append_logs(self) -> None:
-        """Load (and thereby replay) every series with a surviving append log."""
-        if self._config["group_commit"]:
-            self._recover_group_log()
-            return
-        for sid, entry in self._series.items():
-            name = entry.get("wal")
-            if name and (self._root / name).exists():
-                self._load(sid)
+        """Replay every surviving log into the series it belongs to.
 
-    def _recover_group_log(self) -> None:
-        """Replay the shared group log: regroup records, extend each series.
-
-        Records interleave in ingest order; they are regrouped per series
-        (preserving order) into ``_group_pending``, then each touched
-        series is materialised — known series replay inside
-        :meth:`_replay_wal` on load, while a series whose manifest entry
-        never committed (crash between the group write and a later
-        manifest commit) is re-registered from the record's own series id
-        and digits before its values are applied.
+        Group-log records interleave in ingest order; they are regrouped
+        per series (preserving order) into ``_group_pending``.  Then every
+        series with a legacy log or pending records is materialised —
+        known series replay inside :meth:`_replay_wal` on load, while a
+        series whose manifest entry never committed (crash between the
+        group write and a later manifest commit) is re-registered from the
+        record's own series id and digits before its values are applied.
         """
         name = self._group_name
-        if not name or not (self._root / name).exists():
-            return
         digits_of: dict[str, int] = {}
-        for sid, digits, values in read_group_log(self._root / name):
-            self._group_pending.setdefault(sid, []).append(values)
-            digits_of[sid] = int(digits)
+        if name and (self._root / name).exists():
+            for sid, digits, values in read_group_log(self._root / name):
+                self._group_pending.setdefault(sid, []).append(values)
+                digits_of[sid] = int(digits)
+        for sid, entry in self._series.items():
+            if entry.get("wal") and (self._root / entry["wal"]).exists():
+                self._load(sid)
         for sid in list(self._group_pending):
             known = sid in self._series
             store = self._store_for_ingest(sid)  # known: loads + replays
@@ -959,7 +871,7 @@ class SeriesDB:
             "next_shard": self._next_shard,
             "series": self._series,
         }
-        if self._group_name:  # absent outside group mode: old bytes unchanged
+        if self._group_name:  # absent until the first ingest
             manifest["group_wal"] = self._group_name
         # No sort_keys: the series mapping keeps ingestion order, and equal
         # states serialise to identical bytes either way.

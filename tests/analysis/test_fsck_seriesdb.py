@@ -3,10 +3,14 @@
 The matrix: a healthy database (flushed, and with pending WAL records)
 must pass ``--deep``; a deleted shard, a bit-rotted shard, a manifest that
 lies about counts or digits, a corrupted WAL record, and files no manifest
-entry references must each be flagged with their own problem code.
+entry references must each be flagged with their own problem code.  The
+per-series WAL checks (FSK026/FSK027) run on a copy of the committed
+legacy database in ``tests/store/fixtures/legacy_wal_db``: new databases
+write only the group log, whose checks live in ``test_fsck_partitioned``.
 """
 
 import json
+import shutil
 import zlib
 from pathlib import Path
 
@@ -27,6 +31,13 @@ def db_root(tmp_path, walk_series):
     db.flush()
     db.ingest("cpu", walk_series[:100], digits=2)  # durable, not flushed
     return root
+
+
+@pytest.fixture
+def legacy_root(tmp_path):
+    """A database written with per-series ``.wal`` logs (see test_legacy_wal)."""
+    fixture = Path(__file__).parents[1] / "store" / "fixtures" / "legacy_wal_db"
+    return Path(shutil.copytree(fixture, tmp_path / "legacy"))
 
 
 def codes(report):
@@ -64,8 +75,9 @@ def test_clean_db_passes_shallow_and_deep(db_root):
 def test_deep_replays_wal_on_top_of_snapshots(db_root, walk_series):
     report = fsck_seriesdb(db_root, deep=True)
     assert report.ok
-    # the pending 100 WAL values count toward the replayed totals
-    assert report.checked["decoded_values"] == len(walk_series) + 700
+    # the pending 100 WAL values (decoded from the group log) count
+    # toward the replayed totals
+    assert report.checked["decoded_values"] == len(walk_series) + 700 + 100
 
 
 def test_directory_dispatch(db_root):
@@ -157,37 +169,37 @@ def test_tmp_files_are_not_dangling(db_root):
 # -- WAL defects ----------------------------------------------------------------
 
 
-def test_corrupt_wal_record_flagged(db_root):
-    path = wal_path(db_root, "cpu")
+def test_corrupt_wal_record_flagged(legacy_root):
+    path = wal_path(legacy_root, "temp")
     blob = bytearray(path.read_bytes())
     blob[-3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    report = fsck_seriesdb(db_root)
+    report = fsck_seriesdb(legacy_root)
     assert "FSK026" in codes(report)
     assert report.exit_code == 1
 
 
-def test_wal_digits_conflict(db_root):
-    data = manifest(db_root)
-    data["series"]["cpu"]["digits"] = 7  # WAL header says 2
-    rewrite_manifest(db_root, data)
-    assert "FSK027" in codes(fsck_seriesdb(db_root))
+def test_wal_digits_conflict(legacy_root):
+    data = manifest(legacy_root)
+    data["series"]["price"]["digits"] = 7  # WAL header says 2
+    rewrite_manifest(legacy_root, data)
+    assert "FSK027" in codes(fsck_seriesdb(legacy_root))
 
 
-def test_wal_codec_conflict(db_root):
-    data = manifest(db_root)
+def test_wal_codec_conflict(legacy_root):
+    data = manifest(legacy_root)
     data["hot_codec"] = "leco"  # the WAL was written with gorilla
-    rewrite_manifest(db_root, data)
-    assert "FSK027" in codes(fsck_seriesdb(db_root))
+    rewrite_manifest(legacy_root, data)
+    assert "FSK027" in codes(fsck_seriesdb(legacy_root))
 
 
-def test_stale_wal_generation_is_dangling(db_root):
+def test_stale_wal_generation_is_dangling(legacy_root):
     """A log file left behind by a crash mid-rotation has no reference."""
-    data = manifest(db_root)
-    stale = db_root / "shards" / "cpu-0099.wal"
-    stale.write_bytes(wal_path(db_root, "cpu").read_bytes())
-    rewrite_manifest(db_root, data)
-    assert "FSK028" in codes(fsck_seriesdb(db_root))
+    data = manifest(legacy_root)
+    stale = legacy_root / "shards" / "temp-0099.wal"
+    stale.write_bytes(wal_path(legacy_root, "temp").read_bytes())
+    rewrite_manifest(legacy_root, data)
+    assert "FSK028" in codes(fsck_seriesdb(legacy_root))
 
 
 def test_unopenable_db_caught_by_deep_backstop(db_root):

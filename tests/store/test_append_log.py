@@ -1,14 +1,15 @@
-"""SeriesDB write-ahead append logs: pre-flush durability + recovery.
+"""SeriesDB write-ahead group log: pre-flush durability + recovery.
 
 Contract (see :class:`repro.store.SeriesDB`): every ``ingest`` /
-``ingest_many`` lands its values in the series' append log (one fsync'd
-``RPAL0001`` record) *before* mutating the in-memory shard, and the
+``ingest_many`` lands its values in the database's group log (one fsync'd
+``RPGW0001`` write) *before* mutating the in-memory shards, and the
 manifest references the log before any data lands in it.  A crash before
-:meth:`flush` therefore loses nothing: the next open replays the logs on
+:meth:`flush` therefore loses nothing: the next open replays the log on
 top of the shard snapshots and re-marks those shards dirty.  ``flush``
-consolidates — the snapshot absorbs the logged values and the old log file
+consolidates — the snapshots absorb the logged values and the old log file
 is dropped post-commit.  A record torn by a mid-append crash is skipped;
-every completed batch survives.
+every completed batch survives.  Databases that still hold a legacy
+per-series ``RPAL0001`` log are covered by ``test_legacy_wal.py``.
 """
 
 import json
@@ -31,8 +32,12 @@ def make_db(root, **kw):
     return SeriesDB(root, **kw)
 
 
-def wal_files(root):
-    return sorted((root / "shards").glob("*.wal"))
+def log_files(root):
+    return sorted((root / "shards").glob("*.gwl"))
+
+
+def group_wal(root):
+    return json.loads((root / "MANIFEST.json").read_text())["group_wal"]
 
 
 class TestDurability:
@@ -100,21 +105,19 @@ class TestManifestDiscipline:
         db = make_db(root)
         db.ingest("s", np.arange(100, dtype=np.int64))
         manifest = json.loads((root / "MANIFEST.json").read_text())
-        entry = manifest["series"]["s"]
-        assert entry["count"] == 0  # counts update only at flush
-        assert (root / entry["wal"]).exists()
+        assert manifest["series"]["s"]["count"] == 0  # counts update at flush
+        assert (root / manifest["group_wal"]).exists()
 
     def test_flush_consolidates_and_drops_logs(self, root):
         db = make_db(root)
         db.ingest("s", np.arange(600, dtype=np.int64))
-        assert len(wal_files(root)) == 1
+        assert len(log_files(root)) == 1
         db.flush()
-        assert wal_files(root) == []
+        assert log_files(root) == []
         manifest = json.loads((root / "MANIFEST.json").read_text())
-        entry = manifest["series"]["s"]
-        assert entry["count"] == 600
+        assert manifest["series"]["s"]["count"] == 600
         # the manifest rotated to a fresh (not yet existing) log generation
-        assert not (root / entry["wal"]).exists()
+        assert not (root / manifest["group_wal"]).exists()
         clean = SeriesDB.open(root)
         assert clean.cache_info()["dirty"] == 0
         assert np.array_equal(clean.decompress("s"), np.arange(600))
@@ -125,7 +128,7 @@ class TestManifestDiscipline:
         db.ingest("s", values)
         crashed = SeriesDB.open(root)
         crashed.flush()
-        assert wal_files(root) == []
+        assert log_files(root) == []
         assert json.loads((root / "MANIFEST.json").read_text())["series"]["s"][
             "count"
         ] == 900
@@ -134,14 +137,10 @@ class TestManifestDiscipline:
     def test_log_rotation_across_flush_cycles(self, root):
         db = make_db(root)
         db.ingest("s", np.arange(100, dtype=np.int64))
-        first_wal = json.loads((root / "MANIFEST.json").read_text())["series"][
-            "s"
-        ]["wal"]
+        first_wal = group_wal(root)
         db.flush()
         db.ingest("s", np.arange(100, 200, dtype=np.int64))
-        second_wal = json.loads((root / "MANIFEST.json").read_text())["series"][
-            "s"
-        ]["wal"]
+        second_wal = group_wal(root)
         assert second_wal != first_wal
         assert not (root / first_wal).exists()
         assert (root / second_wal).exists()
@@ -151,9 +150,9 @@ class TestManifestDiscipline:
 
 class TestFlushFailure:
     def test_ingest_after_failed_flush_stays_recoverable(self, root, monkeypatch):
-        """A flush that dies mid-way rotates some log names only in memory;
-        the next ingest must re-commit the manifest before its record lands,
-        or the durable-on-return guarantee silently breaks."""
+        """A flush that dies mid-way leaves some entries updated only in
+        memory; the next ingest must still land where recovery finds it, or
+        the durable-on-return guarantee silently breaks."""
         import repro.store.seriesdb as seriesdb_mod
 
         db = make_db(root)
@@ -190,9 +189,7 @@ class TestTornLog:
         db = make_db(root)
         db.ingest("s", np.arange(500, dtype=np.int64))
         db.ingest("s", np.arange(500, 800, dtype=np.int64))
-        wal = root / json.loads((root / "MANIFEST.json").read_text())["series"][
-            "s"
-        ]["wal"]
+        wal = root / group_wal(root)
         blob = wal.read_bytes()
         wal.write_bytes(blob[:-11])  # crash mid-append of the second batch
         crashed = SeriesDB.open(root)
@@ -208,9 +205,7 @@ class TestTornLog:
         db.ingest("s", base)
         db.flush()
         db.ingest("s", np.arange(400, 500, dtype=np.int64))
-        wal = root / json.loads((root / "MANIFEST.json").read_text())["series"][
-            "s"
-        ]["wal"]
+        wal = root / group_wal(root)
         wal.write_bytes(wal.read_bytes()[:30])  # tear inside the header/record 0
         crashed = SeriesDB.open(root)
         assert np.array_equal(crashed.decompress("s"), base)

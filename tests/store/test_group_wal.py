@@ -1,4 +1,4 @@
-"""Tests for group-commit durability: append_many, GroupLog, SeriesDB mode."""
+"""Tests for group-commit durability: the GroupLog file and SeriesDB on it."""
 
 import json
 import os
@@ -6,11 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.codecs.container import (
-    AppendableArchive,
-    GroupLog,
-    read_group_log,
-)
+from repro.codecs.container import GroupLog, read_group_log
 from repro.store import SeriesDB
 
 
@@ -18,37 +14,6 @@ def _batches(rng, k=4, n=80):
     return [
         np.cumsum(rng.integers(-9, 10, n)).astype(np.int64) for _ in range(k)
     ]
-
-
-class TestAppendMany:
-    def test_byte_identical_to_sequential_appends(self, tmp_path, rng):
-        batches = _batches(rng)
-        one = AppendableArchive.create(tmp_path / "one.rpal", codec="gorilla")
-        for values in batches:
-            one.append(values)
-        many = AppendableArchive.create(tmp_path / "many.rpal", codec="gorilla")
-        written = many.append_many(batches)
-        assert written == sum(len(b) for b in batches)
-        assert (
-            (tmp_path / "one.rpal").read_bytes()
-            == (tmp_path / "many.rpal").read_bytes()
-        )
-
-    def test_single_fsync_for_k_batches(self, tmp_path, rng, monkeypatch):
-        log = AppendableArchive.create(tmp_path / "log.rpal", codec="gorilla")
-        calls = []
-        real = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
-        log.append_many(_batches(rng, k=6))
-        assert len(calls) == 1
-
-    def test_empty_batches_are_skipped(self, tmp_path, rng):
-        log = AppendableArchive.create(tmp_path / "log.rpal", codec="gorilla")
-        empty = np.array([], dtype=np.int64)
-        values = _batches(rng, k=1)[0]
-        assert log.append_many([empty, values, empty]) == len(values)
-        assert log.num_records == 1
-        assert len(log) == len(values)
 
 
 class TestGroupLog:
@@ -108,7 +73,7 @@ class TestGroupLog:
 
 class TestSeriesDBGroupCommit:
     def test_crash_reopen_recovers_group_log(self, tmp_path, rng):
-        db = SeriesDB(tmp_path / "db", group_commit=True)
+        db = SeriesDB(tmp_path / "db")
         a = np.cumsum(rng.integers(-5, 6, 400)).astype(np.int64)
         b = np.cumsum(rng.integers(-5, 6, 300)).astype(np.int64)
         db.ingest_many({"a": a, "b": b}, workers=1)
@@ -123,7 +88,7 @@ class TestSeriesDBGroupCommit:
 
     def test_steady_state_batch_costs_one_fsync(self, tmp_path, rng,
                                                 monkeypatch):
-        db = SeriesDB(tmp_path / "db", group_commit=True)
+        db = SeriesDB(tmp_path / "db")
         first = {
             f"s{i}": np.cumsum(rng.integers(-5, 6, 200)).astype(np.int64)
             for i in range(6)
@@ -145,7 +110,7 @@ class TestSeriesDBGroupCommit:
 
     def test_flush_rotates_group_log(self, tmp_path, rng):
         root = tmp_path / "db"
-        db = SeriesDB(root, group_commit=True)
+        db = SeriesDB(root)
         db.ingest("a", np.cumsum(rng.integers(-5, 6, 100)).astype(np.int64))
         before = json.loads((root / "MANIFEST.json").read_text())["group_wal"]
         assert (root / before).exists()
@@ -155,27 +120,23 @@ class TestSeriesDBGroupCommit:
         assert not (root / before).exists()  # dropped post-commit
         db.close()
 
-    def test_plain_manifest_has_no_group_key(self, tmp_path, rng):
-        db = SeriesDB(tmp_path / "db")
+    def test_manifest_has_no_group_commit_key(self, tmp_path, rng):
+        """Every database logs through the group log: the manifest records
+        no mode (an old manifest's flag: see test_legacy_wal)."""
+        root = tmp_path / "db"
+        db = SeriesDB(root)
         db.ingest("a", np.cumsum(rng.integers(-5, 6, 100)).astype(np.int64))
         db.flush()
-        manifest = json.loads((tmp_path / "db" / "MANIFEST.json").read_text())
-        assert "group_wal" not in manifest
-        assert manifest["group_commit"] is False
+        manifest = json.loads((root / "MANIFEST.json").read_text())
+        assert "group_commit" not in manifest
+        assert "group_commit" not in db.info()
         db.close()
 
-    def test_group_and_plain_mode_answer_identically(self, tmp_path, rng):
-        fleet = {
-            f"s{i}": np.cumsum(rng.integers(-7, 8, 500)).astype(np.int64)
-            for i in range(4)
-        }
-        plain = SeriesDB(tmp_path / "plain")
-        plain.ingest_many(fleet, workers=1)
-        grouped = SeriesDB(tmp_path / "grouped", group_commit=True)
-        grouped.ingest_many(fleet, workers=1)
-        for sid, values in fleet.items():
-            assert np.array_equal(plain.decompress(sid), values)
-            assert np.array_equal(grouped.decompress(sid), values)
-            assert plain.access(sid, 123) == grouped.access(sid, 123)
-        plain.close()
-        grouped.close()
+    def test_deprecated_group_commit_keyword_is_ignored(self, tmp_path):
+        for flag in (False, True):
+            root = tmp_path / f"db-{flag}"
+            db = SeriesDB(root, group_commit=flag)
+            db.ingest("a", np.arange(50))
+            assert list((root / "shards").glob("*.wal")) == []
+            assert len(list((root / "shards").glob("*.gwl"))) == 1
+            db.close()
